@@ -43,19 +43,14 @@ void CachedMemory::refresh_fault_epoch(std::uint64_t now) {
   if (hooks_ == nullptr) {
     return;
   }
-  const std::uint32_t n_modules = inner_->num_modules();
-  std::uint64_t dead = 0;
-  for (std::uint32_t m = 0; m < n_modules; ++m) {
-    if (hooks_->module_dead(ModuleId(m), now)) {
-      ++dead;
-    }
+  if (fault_floor_ == 0) {
+    fault_floor_ = now;
   }
-  // Hooks are monotone in the step, so a grown dead count pins the most
-  // recent onset to this step (the first step that could observe it).
-  if (dead > dead_modules_seen_) {
-    dead_modules_seen_ = dead;
-    last_death_step_ = now;
-  }
+  // A death is dated no earlier than the first step served under these
+  // hooks: lines filled before the hooks (or the restore) never saw them.
+  const auto last_death = hooks_->last_module_death(now);
+  last_death_step_ =
+      last_death ? std::max(*last_death, fault_floor_) : 0;
 }
 
 CachedMemory::Staleness CachedMemory::classify_line(Line& line,
@@ -489,7 +484,7 @@ bool CachedMemory::set_fault_hooks(const pram::FaultHooks* hooks) {
   // an OUTER wrapper, which already observes the cache's outputs — the
   // cached values themselves never go stale.
   hooks_ = inner_accepts ? hooks : nullptr;
-  dead_modules_seen_ = 0;
+  fault_floor_ = 0;
   last_death_step_ = 0;
   return inner_accepts;
 }
@@ -538,7 +533,7 @@ bool CachedMemory::restore_body(pram::SnapshotSource& source) {
   index_.clear();
   free_.clear();
   hand_ = 0;
-  dead_modules_seen_ = 0;
+  fault_floor_ = 0;
   last_death_step_ = 0;
   reloc_stamp_ = 0;
   return true;

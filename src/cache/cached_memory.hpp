@@ -24,9 +24,10 @@
 //
 // Fault consistency (see docs/fault-model.md): when the inner scheme
 // accepts replica-level FaultHooks, the cache tracks the step-stamped
-// fault clock. A CLEAN line whose backing may have changed since fill —
-// a module died after the line's fill step, or a scrub pass relocated
-// storage — is INVALIDATED on its next hit and re-served from the inner
+// fault clock (the latest module onset, one FaultHooks query per step).
+// A CLEAN line whose backing may have changed since fill — a module died
+// after the line's fill step, or a scrub pass relocated storage — is
+// INVALIDATED on its next hit and re-served from the inner
 // scheme as a miss, so a cached run degrades exactly like an uncached
 // one instead of masking faults with stale hits. DIRTY lines are never
 // invalidated: the cache holds the only up-to-date copy of a dirty
@@ -191,8 +192,9 @@ class CachedMemory final : public pram::MemorySystem {
 
   /// Reset per-step scratch (residual lists, arena, step-local tallies).
   void begin_step();
-  /// Track the fault clock: bump last_death_step_ when the dead-module
-  /// count grew (O(num_modules) scan, only while hooks are installed).
+  /// Track the fault clock: set last_death_step_ to the hooks' latest
+  /// module onset <= now, floored at fault_floor_ (one O(log D) query per
+  /// step, only while hooks are installed).
   void refresh_fault_epoch(std::uint64_t now);
   /// Clean-line staleness under the fault clock; may refresh fill_step
   /// when the precise per-variable map check exonerates the line.
@@ -243,7 +245,11 @@ class CachedMemory final : public pram::MemorySystem {
 
   // Fault-clock tracking (replica-level hooks only).
   const pram::FaultHooks* hooks_ = nullptr;
-  std::uint64_t dead_modules_seen_ = 0;
+  /// First step served under the current hooks (0 = none yet); reset by
+  /// set_fault_hooks and restore.
+  std::uint64_t fault_floor_ = 0;
+  /// Clean lines with fill_step < last_death_step_ may have lost a
+  /// backing module since fill (0 = no module dead).
   std::uint64_t last_death_step_ = 0;
   /// Lines with fill_step < reloc_stamp_ predate a scrub relocation.
   std::uint64_t reloc_stamp_ = 0;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -455,14 +456,11 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
     // Fault-onset acknowledgements: the durable run logs each realized
     // onset once the step clock crosses it, so the post-crash log shows
     // which failures the run had already acknowledged.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> onsets;
+    std::span<const faults::ModuleOnset> onsets;
     if (fault_spec != nullptr) {
-      const auto& model =
-          static_cast<faults::FaultableMemory*>(memory.get())->model();
-      for (const auto module : model.dead_modules()) {
-        onsets.emplace_back(model.module_onset(module), module.index());
-      }
-      std::sort(onsets.begin(), onsets.end());
+      onsets = static_cast<faults::FaultableMemory*>(memory.get())
+                   ->model()
+                   .onset_schedule();
     }
     std::size_t onset_cursor = 0;
 
@@ -481,8 +479,8 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
       ctx.bind(values);
       (void)memory->serve(*plan, ctx);
       while (onset_cursor < onsets.size() &&
-             onsets[onset_cursor].first <= step) {
-        wal.append_onset(step, onsets[onset_cursor].second);
+             onsets[onset_cursor].step <= step) {
+        wal.append_onset(step, onsets[onset_cursor].module.index());
         ++onset_cursor;
       }
       wal.append_step(step, plan->writes);

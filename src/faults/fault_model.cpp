@@ -1,6 +1,7 @@
 #include "faults/fault_model.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/assert.hpp"
 
@@ -42,20 +43,17 @@ FaultModel::FaultModel(FaultSpec spec, std::uint32_t n_modules)
       }
     }
   }
-  for (const auto flag : dead_) {
-    n_dead_ += flag;
-  }
   // Onset steps are drawn INDEPENDENTLY of the kill decision (different
   // mix tag), so widening or moving the onset window never changes which
   // modules die — only when.
   onset_.assign(dead_.size(), 0);
-  if (spec_.dynamic()) {
-    for (std::uint32_t module = 0; module < M; ++module) {
-      if (dead_[module] != 0) {
-        onset_[module] = unit_onset(6, module, 0);
-      }
+  for (std::uint32_t module = 0; module < M; ++module) {
+    if (dead_[module] != 0) {
+      onset_[module] = unit_onset(6, module, 0);
+      schedule_.push_back({onset_[module], ModuleId(module)});
     }
   }
+  std::sort(schedule_.begin(), schedule_.end());
 }
 
 std::uint64_t FaultModel::mix(std::uint64_t tag, std::uint64_t a,
@@ -79,6 +77,17 @@ std::uint64_t FaultModel::unit_onset(std::uint64_t tag, std::uint64_t a,
 bool FaultModel::module_dead(ModuleId module, std::uint64_t step) const {
   return module.index() < dead_.size() && dead_[module.index()] != 0 &&
          step >= onset_[module.index()];
+}
+
+std::optional<std::uint64_t> FaultModel::last_module_death(
+    std::uint64_t step) const {
+  const auto after = std::upper_bound(
+      schedule_.begin(), schedule_.end(), step,
+      [](std::uint64_t s, const ModuleOnset& onset) { return s < onset.step; });
+  if (after == schedule_.begin()) {
+    return std::nullopt;
+  }
+  return std::prev(after)->step;
 }
 
 bool FaultModel::stuck_at(std::uint64_t entity, std::uint32_t copy,
@@ -118,12 +127,11 @@ bool FaultModel::corrupt_write(std::uint64_t entity, std::uint32_t copy,
 
 std::vector<ModuleId> FaultModel::dead_modules() const {
   std::vector<ModuleId> out;
-  out.reserve(n_dead_);
-  for (std::uint32_t module = 0; module < dead_.size(); ++module) {
-    if (dead_[module] != 0) {
-      out.emplace_back(module);
-    }
+  out.reserve(schedule_.size());
+  for (const auto& onset : schedule_) {
+    out.push_back(onset.module);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -133,16 +141,8 @@ std::uint64_t FaultModel::module_onset(ModuleId module) const {
 }
 
 std::uint64_t FaultModel::first_onset() const {
-  std::uint64_t first = 0;
-  bool found = false;
-  for (std::uint32_t module = 0; module < dead_.size(); ++module) {
-    if (dead_[module] != 0 && (!found || onset_[module] < first)) {
-      first = onset_[module];
-      found = true;
-    }
-  }
-  if (found) {
-    return first;
+  if (!schedule_.empty()) {
+    return schedule_.front().step;
   }
   // No module ever dies: stuck/corruption onsets are lazy per-unit
   // hashes we cannot enumerate, so report the earliest possible onset.

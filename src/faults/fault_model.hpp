@@ -17,7 +17,10 @@
 // Faults never heal by themselves; recovery is MemorySystem::scrub's job.
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "pram/faults.hpp"
@@ -56,8 +59,19 @@ struct FaultSpec {
 /// counts, seed, and the onset window pass through unchanged.
 [[nodiscard]] FaultSpec at_rate(FaultSpec proto, double rate);
 
+/// One entry of the kill set's onset schedule: `module` dies at `step`.
+/// Ordered by (step, module).
+struct ModuleOnset {
+  std::uint64_t step = 0;
+  ModuleId module{};
+
+  friend constexpr auto operator<=>(const ModuleOnset&,
+                                    const ModuleOnset&) = default;
+};
+
 /// The deterministic pram::FaultHooks implementation. The dead-module
-/// set and its onset steps are materialized at construction;
+/// set and its onset steps are materialized at construction, together
+/// with the onset schedule (the kill set sorted by onset step);
 /// stuck/corruption answers are pure seeded-hash functions of their
 /// arguments.
 class FaultModel final : public pram::FaultHooks {
@@ -66,6 +80,9 @@ class FaultModel final : public pram::FaultHooks {
 
   [[nodiscard]] bool module_dead(ModuleId module,
                                  std::uint64_t step) const override;
+  /// Binary search of the onset schedule: O(log dead_module_count()).
+  [[nodiscard]] std::optional<std::uint64_t> last_module_death(
+      std::uint64_t step) const override;
   [[nodiscard]] bool stuck_at(std::uint64_t entity, std::uint32_t copy,
                               std::uint64_t step,
                               pram::Word& value) const override;
@@ -78,8 +95,15 @@ class FaultModel final : public pram::FaultHooks {
     return static_cast<std::uint32_t>(dead_.size());
   }
   /// Modules that EVER die (at any step; the eventual kill set).
-  [[nodiscard]] std::uint32_t dead_module_count() const { return n_dead_; }
+  [[nodiscard]] std::uint32_t dead_module_count() const {
+    return static_cast<std::uint32_t>(schedule_.size());
+  }
   [[nodiscard]] std::vector<ModuleId> dead_modules() const;
+  /// The kill set ordered by (onset step, module index): the one
+  /// schedule that onset journaling and WAL acknowledgements walk.
+  [[nodiscard]] std::span<const ModuleOnset> onset_schedule() const {
+    return schedule_;
+  }
   /// The step at which `module` dies (0 for static faults; meaningful
   /// only for modules in the kill set).
   [[nodiscard]] std::uint64_t module_onset(ModuleId module) const;
@@ -102,7 +126,7 @@ class FaultModel final : public pram::FaultHooks {
   FaultSpec spec_;
   std::vector<std::uint8_t> dead_;      ///< per-module death flags
   std::vector<std::uint64_t> onset_;    ///< per-module onset steps
-  std::uint32_t n_dead_ = 0;
+  std::vector<ModuleOnset> schedule_;   ///< kill set sorted by onset
 };
 
 }  // namespace pramsim::faults

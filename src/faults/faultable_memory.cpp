@@ -15,10 +15,6 @@ FaultableMemory::FaultableMemory(std::unique_ptr<pram::MemorySystem> inner,
       model_(spec, inner_ == nullptr ? 1 : inner_->num_modules()) {
   PRAMSIM_ASSERT(inner_ != nullptr);
   inner_injects_ = inner_->set_fault_hooks(&model_);
-  for (const auto module : model_.dead_modules()) {
-    onsets_.emplace_back(model_.module_onset(module), module.index());
-  }
-  std::sort(onsets_.begin(), onsets_.end());
 }
 
 void FaultableMemory::emit_onsets(std::uint64_t step) {
@@ -26,10 +22,12 @@ void FaultableMemory::emit_onsets(std::uint64_t step) {
     if (observer() == nullptr) {
       return;
     }
-    while (onset_cursor_ < onsets_.size() &&
-           onsets_[onset_cursor_].first <= step) {
-      obs_event(obs::EventKind::kFaultOnset, onsets_[onset_cursor_].second,
-                0, onsets_[onset_cursor_].first);
+    const auto schedule = model_.onset_schedule();
+    while (onset_cursor_ < schedule.size() &&
+           schedule[onset_cursor_].step <= step) {
+      obs_event(obs::EventKind::kFaultOnset,
+                schedule[onset_cursor_].module.index(), 0,
+                schedule[onset_cursor_].step);
       obs_count("fault.onsets");
       ++onset_cursor_;
     }

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "faults/fault_model.hpp"
@@ -155,9 +154,8 @@ class FaultableMemory final : public pram::MemorySystem {
   bool inner_injects_ = false;
   pram::ReliabilityStats wrapper_stats_;
   std::vector<std::uint8_t> flagged_;  ///< last step's outage flags
-  /// The realized kill set as (onset step, module), sorted by onset —
-  /// the emit_onsets cursor walks it as the step clock advances.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> onsets_;
+  /// Position in model_.onset_schedule() that emit_onsets has journaled
+  /// through as the step clock advances.
   std::size_t onset_cursor_ = 0;
 };
 

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "pram/types.hpp"
@@ -58,6 +59,15 @@ class FaultHooks {
   /// (known-bad) from the module's onset step onward.
   [[nodiscard]] virtual bool module_dead(ModuleId module,
                                          std::uint64_t step) const = 0;
+
+  /// The latest onset over the modules dead at `step`, or std::nullopt
+  /// when none is; a module's onset is the first step module_dead answers
+  /// true for it. Must agree with a scan of module_dead over every
+  /// module, which per-step callers (the cache's fault epoch) use this
+  /// to avoid. The optional keeps "nothing has died" apart from "died at
+  /// step 0" (the static regime, where every onset is 0).
+  [[nodiscard]] virtual std::optional<std::uint64_t> last_module_death(
+      std::uint64_t step) const = 0;
 
   /// Stuck-at fault active by `step`: reads of this copy/share observe
   /// `value` (set on return true), regardless of what was written.
@@ -124,7 +134,10 @@ struct ReliabilityStats {
   std::uint64_t faults_masked = 0;  ///< reads answered despite >=1 bad unit
   std::uint64_t units_faulty = 0;   ///< dead/stuck/corrupt copies|shares met
   std::uint64_t erasures_skipped = 0;  ///< known-dead units excluded
-  std::uint64_t shares_short = 0;   ///< IDA: missing shares below full set
+  /// IDA: shares a FAILED decode lacked to reach the threshold b (0 for
+  /// every decode that succeeded; survived erasures count in
+  /// erasures_skipped instead).
+  std::uint64_t shares_short = 0;
   std::uint64_t uncorrectable = 0;  ///< reads below reconstruction threshold
   std::uint64_t wrong_reads = 0;    ///< oracle mismatches (silent failures)
   std::uint64_t writes_dropped = 0; ///< write targets lost to dead modules

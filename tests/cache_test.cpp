@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/driver.hpp"
 #include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
+#include "fault_scan.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/faultable_memory.hpp"
 #include "obs/export.hpp"
@@ -266,8 +268,151 @@ TEST(CachedMemory, DeadBackingInvalidationKeepsOracleClean) {
       << "deaths landed in the onset window but no hot line was dropped";
 }
 
+/// Forwards every fault query to a FaultModel but answers
+/// last_module_death by scanning module_dead over every module: the
+/// reference the cache's schedule-based fault epoch must reproduce.
+class ScannedEpochHooks final : public pram::FaultHooks {
+ public:
+  ScannedEpochHooks(const pram::FaultHooks& model, std::uint32_t n_modules)
+      : model_(model), n_modules_(n_modules) {}
+
+  [[nodiscard]] bool module_dead(ModuleId module,
+                                 std::uint64_t step) const override {
+    return model_.module_dead(module, step);
+  }
+  [[nodiscard]] std::optional<std::uint64_t> last_module_death(
+      std::uint64_t step) const override {
+    return scan_last_module_death(model_, n_modules_, step);
+  }
+  [[nodiscard]] bool stuck_at(std::uint64_t entity, std::uint32_t copy,
+                              std::uint64_t step,
+                              pram::Word& value) const override {
+    return model_.stuck_at(entity, copy, step, value);
+  }
+  [[nodiscard]] bool corrupt_write(std::uint64_t entity, std::uint32_t copy,
+                                   std::uint64_t stamp, std::uint64_t step,
+                                   pram::Word& value) const override {
+    return model_.corrupt_write(entity, copy, stamp, step, value);
+  }
+
+ private:
+  const pram::FaultHooks& model_;
+  std::uint32_t n_modules_;
+};
+
+/// Everything a served run exposes: per-read values and outage flags
+/// (step by step), the cache and reliability counters, and the
+/// deterministic obs snapshot.
+struct ServedRun {
+  std::vector<pram::Word> values;
+  std::vector<std::uint8_t> flags;
+  cache::CacheStats cache;
+  pram::ReliabilityStats reliability;
+  std::string obs;
+};
+
+/// The DeadBackingInvalidation composition served step by step, with a
+/// snapshot/restore round trip and a hook re-installation mid-run (each
+/// restarts the cache's fault-epoch floor). With `scanned` the cache and
+/// the inner scheme consult ScannedEpochHooks instead of the model.
+ServedRun run_dead_backing(core::SchemeKind kind, bool scanned) {
+  auto cached = std::make_unique<cache::CachedMemory>(
+      core::make_memory({.kind = kind, .n = 16, .seed = 3}),
+      cache::CacheConfig{.capacity = 128});
+  cache::CachedMemory* cache_view = cached.get();
+  const faults::FaultSpec fault_spec{.seed = 41,
+                                     .module_kill_rate = 0.4,
+                                     .onset_min = 5,
+                                     .onset_max = 60};
+  faults::FaultableMemory faulty(std::move(cached), fault_spec);
+  const ScannedEpochHooks scan(faulty.model(), cache_view->num_modules());
+  const pram::FaultHooks* hooks =
+      scanned ? static_cast<const pram::FaultHooks*>(&scan) : &faulty.model();
+  EXPECT_TRUE(cache_view->set_fault_hooks(hooks));
+  obs::Sink sink;
+  faulty.set_observer(&sink);
+
+  pram::TraceParams params;
+  params.write_fraction = 0.2;
+  params.zipf_exponent = 1.1;
+  util::Rng rng(53);
+  const auto trace = pram::make_trace(pram::TraceFamily::kZipfian, 16,
+                                      faulty.size(), 80, rng, params);
+  ServedRun run;
+  core::PlanBuilder builder;
+  pram::ServeContext ctx;
+  std::vector<pram::Word> values;
+  for (std::size_t step = 0; step < trace.size(); ++step) {
+    if (step == 25) {
+      pram::BufferSink image;
+      faulty.snapshot(image);
+      const auto bytes = image.take();
+      pram::BufferSource source(bytes);
+      EXPECT_TRUE(faulty.restore(source));
+    }
+    if (step == 45) {
+      EXPECT_TRUE(cache_view->set_fault_hooks(hooks));
+    }
+    const pram::AccessPlan& plan = builder.build(trace[step], faulty);
+    values.assign(plan.reads.size(), 0);
+    ctx.bind(values);
+    (void)faulty.serve(plan, ctx);
+    run.values.insert(run.values.end(), values.begin(), values.end());
+    const auto flags = ctx.flags();
+    run.flags.insert(run.flags.end(), flags.begin(), flags.end());
+  }
+  run.cache = cache_view->stats();
+  run.reliability = faulty.reliability();
+  obs::SnapshotOptions snapshot;
+  snapshot.include_timings = false;
+  run.obs = obs::to_json(sink, snapshot);
+  return run;
+}
+
+// The fault epoch looked up in the model's onset schedule must serve
+// exactly what a scan of every module's death state serves: values,
+// flags, every counter, and the journal — across a restore and a
+// mid-run hook re-installation. kDmmpc refines suspect lines through its
+// memory map; kIda's block map does not cover variables, so every
+// suspect line is invalidated.
+TEST(CachedMemory, DeadBackingInvalidationIdenticalUnderScannedEpoch) {
+  for (const auto kind : {core::SchemeKind::kDmmpc, core::SchemeKind::kIda}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const ServedRun model = run_dead_backing(kind, false);
+    const ServedRun scan = run_dead_backing(kind, true);
+    EXPECT_EQ(model.values, scan.values);
+    EXPECT_EQ(model.flags, scan.flags);
+    EXPECT_GT(model.cache.hits, 0u);
+    EXPECT_GT(model.cache.invalidations, 0u);
+    EXPECT_EQ(model.cache.hits, scan.cache.hits);
+    EXPECT_EQ(model.cache.misses, scan.cache.misses);
+    EXPECT_EQ(model.cache.evictions, scan.cache.evictions);
+    EXPECT_EQ(model.cache.writebacks, scan.cache.writebacks);
+    EXPECT_EQ(model.cache.invalidations, scan.cache.invalidations);
+    EXPECT_EQ(model.cache.bypasses, scan.cache.bypasses);
+    const auto& a = model.reliability;
+    const auto& b = scan.reliability;
+    EXPECT_GT(a.reads_served, 0u);
+    EXPECT_EQ(a.wrong_reads, 0u);
+    EXPECT_EQ(a.reads_served, b.reads_served);
+    EXPECT_EQ(a.faults_masked, b.faults_masked);
+    EXPECT_EQ(a.units_faulty, b.units_faulty);
+    EXPECT_EQ(a.erasures_skipped, b.erasures_skipped);
+    EXPECT_EQ(a.shares_short, b.shares_short);
+    EXPECT_EQ(a.uncorrectable, b.uncorrectable);
+    EXPECT_EQ(a.wrong_reads, b.wrong_reads);
+    EXPECT_EQ(a.writes_dropped, b.writes_dropped);
+    EXPECT_EQ(a.corrupt_stores, b.corrupt_stores);
+    EXPECT_EQ(a.units_repaired, b.units_repaired);
+    EXPECT_EQ(a.units_relocated, b.units_relocated);
+    EXPECT_EQ(model.obs, scan.obs);
+  }
+}
+
 /// FlatMemory plus a scriptable scrub pass, so relocation invalidation
-/// is testable without threading a real fault sweep underneath.
+/// is testable without threading a real fault sweep underneath. It
+/// accepts (and ignores) replica-level hooks, so the cache runs its
+/// fault epoch over a scheme without a memory map.
 class RelocatingMemory final : public pram::MemorySystem {
  public:
   explicit RelocatingMemory(std::uint64_t m) : flat_(m) {}
@@ -288,6 +433,9 @@ class RelocatingMemory final : public pram::MemorySystem {
     result.relocated = pending_relocations_;
     pending_relocations_ = 0;
     return result;
+  }
+  bool set_fault_hooks(const pram::FaultHooks* /*hooks*/) override {
+    return true;
   }
   void relocate_on_next_scrub(std::uint64_t n) { pending_relocations_ = n; }
 
@@ -344,6 +492,27 @@ TEST(CachedMemory, ScrubRelocationInvalidatesCleanLinesOnly) {
     }
     EXPECT_TRUE(saw_scrub_invalidate);
   }
+}
+
+// A death is dated no earlier than the first step served under the
+// hooks that report it: a line filled before the hooks were installed
+// cannot vouch for storage they say is dead, even for a static (onset 0)
+// death. A line refilled under the hooks is fresh again.
+TEST(CachedMemory, DeadBackingInvalidationDatesStaticDeathAtFirstHookedStep) {
+  cache::CachedMemory cached(std::make_unique<RelocatingMemory>(8),
+                             cache::CacheConfig{.capacity = 4});
+  const std::vector<VarId> reads = {VarId(0)};
+  std::vector<pram::Word> values(1, 0);
+  cached.step(reads, values, {});  // step 1 fills a clean line, no hooks
+
+  const faults::FaultModel model({.seed = 1, .dead_modules = 1}, 1);
+  ASSERT_EQ(model.last_module_death(0), std::optional<std::uint64_t>(0));
+  ASSERT_TRUE(cached.set_fault_hooks(&model));
+  cached.step(reads, values, {});  // step 2: the pre-hook line is suspect
+  EXPECT_EQ(cached.stats().invalidations, 1u);
+  cached.step(reads, values, {});  // step 3: filled at step 2, a hit
+  EXPECT_EQ(cached.stats().invalidations, 1u);
+  EXPECT_EQ(cached.stats().hits, 1u);
 }
 
 // ----- pipeline: worker-count invariance with the cache enabled -------

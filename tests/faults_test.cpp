@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
 #include "core/driver.hpp"
 #include "core/schemes.hpp"
+#include "fault_scan.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/faultable_memory.hpp"
 #include "hashing/mv_memory.hpp"
@@ -37,6 +39,13 @@ class CraftedHooks final : public pram::FaultHooks {
   [[nodiscard]] bool module_dead(ModuleId module,
                                  std::uint64_t step) const override {
     return step >= onset && dead.count(module.index()) != 0;
+  }
+  [[nodiscard]] std::optional<std::uint64_t> last_module_death(
+      std::uint64_t step) const override {
+    if (dead.empty() || step < onset) {
+      return std::nullopt;
+    }
+    return onset;
   }
   [[nodiscard]] bool stuck_at(std::uint64_t entity, std::uint32_t copy,
                               std::uint64_t step,
@@ -120,6 +129,54 @@ TEST(FaultModel, ExactKillCountAndRateCompose) {
   const faults::FaultModel none({.seed = 9}, 32);
   EXPECT_EQ(none.dead_module_count(), 0u);
   EXPECT_TRUE(none.spec().inert());
+}
+
+// The onset schedule answers last_module_death by binary search; it must
+// agree with a scan of module_dead over every module at every step, and
+// hold exactly the kill set in (onset, module) order.
+TEST(FaultModel, LastModuleDeathMatchesModuleScan) {
+  constexpr std::uint32_t kModules = 96;
+  const faults::FaultSpec specs[] = {
+      {.seed = 3, .module_kill_rate = 0.2},                 // static
+      {.seed = 5, .module_kill_rate = 0.2,
+       .onset_min = 4, .onset_max = 40},                    // dynamic
+      {.seed = 9, .dead_modules = 7},                       // exact, static
+      {.seed = 9, .dead_modules = 12,
+       .onset_min = 10, .onset_max = 13},                   // exact, ties
+      {.seed = 11, .dead_modules = 2, .module_kill_rate = 0.1,
+       .onset_min = 1, .onset_max = 30},                    // both axes
+      {.seed = 13, .stuck_rate = 0.5,
+       .onset_min = 16, .onset_max = 24},                   // empty kill set
+  };
+  for (const auto& spec : specs) {
+    const faults::FaultModel model(spec, kModules);
+    for (std::uint64_t step = 0; step <= spec.onset_max + 2; ++step) {
+      ASSERT_EQ(model.last_module_death(step),
+                scan_last_module_death(model, kModules, step))
+          << "seed " << spec.seed << " step " << step;
+    }
+
+    const auto schedule = model.onset_schedule();
+    EXPECT_TRUE(std::is_sorted(schedule.begin(), schedule.end()));
+    std::vector<ModuleId> scheduled;
+    for (const auto& entry : schedule) {
+      EXPECT_EQ(entry.step, model.module_onset(entry.module));
+      scheduled.push_back(entry.module);
+    }
+    std::sort(scheduled.begin(), scheduled.end());
+    // Exactly the kill set, each module once: the scan over every module.
+    std::vector<ModuleId> dead;
+    for (std::uint32_t m = 0; m < kModules; ++m) {
+      if (model.module_dead(ModuleId(m), spec.onset_max)) {
+        dead.emplace_back(m);
+      }
+    }
+    EXPECT_EQ(scheduled, dead);
+    EXPECT_EQ(scheduled, model.dead_modules());
+    if (!schedule.empty()) {
+      EXPECT_EQ(model.first_onset(), schedule.front().step);
+    }
+  }
 }
 
 TEST(FaultModel, AtRateScalesOnlyRateAxes) {
@@ -232,6 +289,10 @@ TEST(IdaFaults, SurvivesDMinusBErasuresAndBreaksAtOneMore) {
     const auto stats = memory.reliability();
     EXPECT_GE(stats.faults_masked, 1u);
     EXPECT_EQ(stats.uncorrectable, 0u);
+    // Survived erasures count as skipped; shares_short counts only the
+    // shortfall of failed decodes.
+    EXPECT_GE(stats.erasures_skipped, 1u);
+    EXPECT_EQ(stats.shares_short, 0u);
   }
   // One more erasure: below the reconstruction threshold — flagged.
   {

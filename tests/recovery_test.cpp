@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -36,6 +37,13 @@ class OnsetHooks final : public pram::FaultHooks {
   [[nodiscard]] bool module_dead(ModuleId module,
                                  std::uint64_t step) const override {
     return step >= onset && dead.count(module.index()) != 0;
+  }
+  [[nodiscard]] std::optional<std::uint64_t> last_module_death(
+      std::uint64_t step) const override {
+    if (dead.empty() || step < onset) {
+      return std::nullopt;
+    }
+    return onset;
   }
   [[nodiscard]] bool stuck_at(std::uint64_t entity, std::uint32_t copy,
                               std::uint64_t step,
